@@ -19,6 +19,7 @@ vectors use the same basis.
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -230,23 +231,37 @@ def from_json_data(data) -> InputDocument:
     )
 
 
-def loads(text: str) -> InputDocument:
+def _decode_json(text: str):
+    """json.loads with every decoder failure mapped to ParseError."""
     try:
-        data = json.loads(text, parse_float=_reject_float)
+        return json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise ParseError("line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg))
-    return from_json_data(data)
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply to decode")
+    except ValueError:
+        # the only other decoder ValueError: int() refusing a long literal
+        raise ParseError(
+            "integer literal longer than %d digits" % sys.get_int_max_str_digits()
+        )
 
 
-def load(path: str) -> InputDocument:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc.strerror or exc))
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not UTF-8: %s" % (path, exc))
-    return loads(text)
+
+
+def loads(text: str) -> InputDocument:
+    return from_json_data(_decode_json(text))
+
+
+def load(path: str) -> InputDocument:
+    return loads(_read_text(path))
 
 
 # ------------------------------------------------------------- serializing
@@ -334,14 +349,7 @@ def save(doc: InputDocument, path: str) -> None:
 def load_curves(path: str, ring: RingModel) -> Tuple[Tuple[str, GradedClass], ...]:
     """Extra curves for nef checks: a JSON array of {label, coeffs} with
     coefficients in the degree-(k-1) basis of the ring."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle, parse_float=_reject_float)
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc.strerror or exc))
-    except json.JSONDecodeError as exc:
-        raise ParseError("line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg))
-    entries = _expect_list(data, "$")
+    entries = _expect_list(_decode_json(_read_text(path)), "$")
     p = ring.k - 1
     want = ring.rank(p)
     curves = []

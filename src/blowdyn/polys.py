@@ -5,8 +5,10 @@ class. The two jobs that matter:
 
   * detect whether a monic integer polynomial has all roots on the unit
     circle or at zero (Kronecker: equivalent to being a power of x times a
-    product of cyclotomics), decided exactly by stripping gcd(p, x^n - 1)
-    over the finitely many n with phi(n) <= deg p;
+    product of cyclotomics), decided exactly by dividing out each Phi_n
+    with phi(n) <= deg p: Phi_n is monic, so long division stays in the
+    integers, and Phi_n divides p exactly when the remainder is zero;
+    repeating the division while it is counts the multiplicity;
   * provide squarefree parts and exact root bounds for the enclosure code.
 """
 
@@ -122,15 +124,13 @@ class IntPolynomial:
     def divexact(self, other: "IntPolynomial") -> "IntPolynomial":
         """Exact division; raises if the remainder is nonzero or the
         quotient is not integral."""
-        q, r = _divmod_fraction(self, other)
-        if any(c != 0 for c in r):
+        qr = _divmod_integral(self, other)
+        if qr is None:
+            raise ValueError("quotient is not an integer polynomial")
+        q, r = qr
+        if any(r):
             raise ValueError("division was not exact")
-        out = []
-        for c in q:
-            if c.denominator != 1:
-                raise ValueError("quotient is not an integer polynomial")
-            out.append(int(c))
-        return IntPolynomial.from_coeffs(out)
+        return IntPolynomial.from_coeffs(q)
 
     def __repr__(self):
         if self.is_zero:
@@ -147,6 +147,32 @@ class IntPolynomial:
             else:
                 bits.append("%+d*x^%d" % (c, i))
         return "IntPolynomial(%s)" % " ".join(bits)
+
+
+def _divmod_integral(a: IntPolynomial, b: IntPolynomial):
+    """Long division in integers: (quotient, remainder) coefficient lists,
+    or None when a quotient coefficient is not an integer (never for a
+    monic b)."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    db = b.degree
+    lead = b.coeffs[-1]
+    low = b.coeffs[:-1]
+    quot = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            if lead != 1:
+                c, frac = divmod(c, lead)
+                if frac:
+                    return None
+            quot[i - db] = c
+            base = i - db
+            for j, bc in enumerate(low):
+                if bc:
+                    rem[base + j] -= c * bc
+    return quot, rem[:db]
 
 
 def _divmod_fraction(a: IntPolynomial, b: IntPolynomial):
@@ -217,9 +243,14 @@ def cyclotomic_orders(max_degree: int) -> List[int]:
     """
     if max_degree < 1:
         return [1]
-    bound = 2 * max_degree * max_degree + 2
-    phi = _phi_sieve(bound)
-    return [n for n in range(1, bound + 1) if phi[n] <= max_degree]
+    if max_degree not in _ORDERS_CACHE:
+        bound = 2 * max_degree * max_degree + 2
+        phi = _phi_sieve(bound)
+        _ORDERS_CACHE[max_degree] = tuple(n for n in range(1, bound + 1) if phi[n] <= max_degree)
+    return list(_ORDERS_CACHE[max_degree])
+
+
+_ORDERS_CACHE: dict = {}
 
 
 def cyclotomic(n: int) -> IntPolynomial:
@@ -238,64 +269,29 @@ def cyclotomic(n: int) -> IntPolynomial:
 _CYCLO_CACHE: dict = {}
 
 
-def _x_power_minus_one_mod(n: int, p: IntPolynomial) -> IntPolynomial:
-    """x^n - 1 reduced mod the monic polynomial p (exact, integer)."""
-    assert p.is_monic and p.degree >= 1
-    d = p.degree
-    # binary powering of x modulo p
-    result = IntPolynomial((1,))
-    base = IntPolynomial((0, 1)) if d > 1 else IntPolynomial((-p.coeffs[0],))
-    e = n
-    while e:
-        if e & 1:
-            result = _mod_monic(result * base, p)
-        base = _mod_monic(base * base, p)
-        e >>= 1
-    return result - IntPolynomial((1,))
-
-
-def _mod_monic(a: IntPolynomial, p: IntPolynomial) -> IntPolynomial:
-    """Remainder of a mod monic p, staying in integers."""
-    c = list(a.coeffs)
-    d = p.degree
-    for i in range(len(c) - 1, d - 1, -1):
-        f = c[i]
-        if f:
-            c[i] = 0
-            for j in range(d):
-                c[i - d + j] -= f * p.coeffs[j]
-    return IntPolynomial.from_coeffs(c[:d])
-
-
 def strip_unit_circle_factors(p: IntPolynomial):
     """Split p into x^a * (cyclotomic product) * core.
 
     Returns (core, x_multiplicity, cyclotomic_degree_stripped). The core has
-    no zero roots and no roots of unity; p must be monic. Stripping uses
-    gcd(p, x^n - 1) for every n with phi(n) <= deg p, repeated until no
-    factor moves (this accounts for multiplicity).
+    no zero roots and no roots of unity; p must be monic. Each Phi_n with
+    phi(n) <= deg core is divided out, exactly and in integers, for as long
+    as the remainder is zero, which counts its multiplicity.
     """
     if not p.is_monic:
         raise ValueError("expected a monic polynomial")
     xmult = p.trailing_zeros()
     core = p.shift_down(xmult)
     stripped = 0
-    if core.degree == 0:
-        return core, xmult, stripped
-    orders = cyclotomic_orders(core.degree)
-    changed = True
-    while changed and core.degree > 0:
-        changed = False
-        for n in orders:
-            if core.degree == 0:
+    for n in cyclotomic_orders(core.degree):
+        if core.degree == 0:
+            break
+        phi_n = cyclotomic(n)
+        while phi_n.degree <= core.degree:
+            quot, rem = _divmod_integral(core, phi_n)
+            if any(rem):
                 break
-            rem = _x_power_minus_one_mod(n, core)
-            # rem == 0 means core itself divides x^n - 1
-            g = core if rem.is_zero else poly_gcd(core, rem)
-            if g.degree >= 1:
-                core = core.divexact(g)
-                stripped += g.degree
-                changed = True
+            core = IntPolynomial(tuple(quot))
+            stripped += phi_n.degree
     return core, xmult, stripped
 
 

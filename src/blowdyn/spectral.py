@@ -7,10 +7,15 @@ The pipeline is exact end to end:
   * powers of x and cyclotomic factors are stripped exactly; if nothing is
     left, the spectral radius is exactly 1 (Kronecker's theorem);
   * otherwise mpmath supplies root *approximations* which are then
-    certified in rational arithmetic: each approximation z gets a radius
-    R = n|p(z)/p'(z)| (evaluated exactly -- z is dyadic), and pairwise
-    disjointness of the disks proves each contains exactly one true root.
-    The spectral radius then lies in [max(|z|-R), max(|z|+R)].
+    certified in integer arithmetic.  The approximations are dyadic, so
+    they all sit exactly on one grid 2^-E, E read off their own mpf
+    exponents.  With z = Z / 2^E, Gaussian-integer Horner gives
+    2^(E*d) p(z) and 2^(E*(d-1)) p'(z) exactly; each z gets a radius
+    R >= d|p(z)/p'(z)| rounded up onto the same grid, and pairwise
+    disjointness of the disks (an integer comparison of squared grid
+    distances) proves each contains exactly one true root.  The spectral
+    radius then lies in [max(|z|-R), max(|z|+R)], with |z| bounded by
+    integer square roots, so both endpoints are dyadic rationals m / 2^E.
 
 Floating point is only ever used to *guess*; every reported bound is an
 exact Fraction that has been proved correct.
@@ -209,86 +214,78 @@ def eq_status(a: Enclosure, b: Enclosure, provably_equal: bool = False) -> str:
     return INDETERMINATE
 
 
-# ------------------------------------------------- exact complex arithmetic
+# ------------------------------------------------ dyadic integer arithmetic
 
-_CFrac = Tuple[Fraction, Fraction]
+
+def _mpf_parts(x) -> Tuple[int, int]:
+    """(signed mantissa, exponent) of a finite mpf, value man * 2^exp."""
+    sign, man, exp, _ = x._mpf_
+    if man == 0 and exp != 0:
+        raise ValueError("nonfinite float from mpmath")
+    return (-man if sign else man), exp
 
 
 def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise ValueError("nonfinite float from mpmath")
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
+    man, exp = _mpf_parts(x)
+    return Fraction(man) * Fraction(2) ** exp
 
 
-def _eval_complex(p: IntPolynomial, z: _CFrac) -> _CFrac:
-    re, im = Fraction(0), Fraction(0)
-    zr, zi = z
-    for c in reversed(p.coeffs):
-        re, im = re * zr - im * zi + c, re * zi + im * zr
+def _scaled_horner(coeffs: Sequence[int], x: int, y: int, e: int) -> Tuple[int, int]:
+    """2^(e*d) * p((x + iy) / 2^e) as a Gaussian integer, d = deg p."""
+    d = len(coeffs) - 1
+    re, im = coeffs[d], 0
+    for k in range(d - 1, -1, -1):
+        re, im = re * x - im * y + (coeffs[k] << (e * (d - k))), re * y + im * x
     return re, im
 
 
-def _abs2(z: _CFrac) -> Fraction:
-    return z[0] * z[0] + z[1] * z[1]
-
-
-def _sqrt_lower(q: Fraction) -> Fraction:
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    return Fraction(isqrt(n * d), d)
-
-
-def _sqrt_upper(q: Fraction) -> Fraction:
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    s = isqrt(n * d)
-    if s * s == n * d:
-        return Fraction(s, d)
-    return Fraction(s + 1, d)
+def _ceil_isqrt(n: int) -> int:
+    s = isqrt(n)
+    return s if s * s == n else s + 1
 
 
 def _certified_radius_bounds(sf: IntPolynomial, approx_roots) -> Optional[Tuple[Fraction, Fraction]]:
     """Turn floating root approximations into proved bounds on the largest
     root modulus of the squarefree polynomial sf, or None if the
-    approximations are not good enough to certify."""
+    approximations are not good enough to certify.
+
+    Every point and radius lives on the grid 2^-e, with e taken from the
+    approximations' own exponents so no point is rounded; all the work is
+    integer arithmetic on the grid numerators."""
     n = sf.degree
-    deriv = sf.derivative()
-    points: List[_CFrac] = []
-    for r in approx_roots:
-        # .real/.imag return the stored mpfs untouched; re-wrapping through
-        # mp.mpf would round them at the *current* precision
-        points.append((_mpf_to_fraction(r.real), _mpf_to_fraction(r.imag)))
-    radii: List[Fraction] = []
-    for z in points:
-        pval2 = _abs2(_eval_complex(sf, z))
+    deriv = sf.derivative().coeffs
+    # .real/.imag return the stored mpfs untouched; re-wrapping through
+    # mp.mpf would round them at the *current* precision
+    parts = [(_mpf_parts(r.real), _mpf_parts(r.imag)) for r in approx_roots]
+    e = max([0] + [-exp for pair in parts for man, exp in pair if man])
+    points = [(xm << (xe + e), ym << (ye + e)) for (xm, xe), (ym, ye) in parts]
+    radii: List[int] = []
+    for x, y in points:
+        # p(z) = P / 2^(e*n) and p'(z) = D / 2^(e*(n-1)), so the Newton
+        # radius n|p(z)/p'(z)| is n|P|/|D| grid steps; round it up
+        pr, pi = _scaled_horner(sf.coeffs, x, y, e)
+        pval2 = pr * pr + pi * pi
         if pval2 == 0:
-            radii.append(Fraction(0))
+            radii.append(0)
             continue
-        dval2 = _abs2(_eval_complex(deriv, z))
+        dr, di = _scaled_horner(deriv, x, y, e)
+        dval2 = dr * dr + di * di
         if dval2 == 0:
             return None
-        radii.append(_sqrt_upper(Fraction(n * n) * pval2 / dval2))
+        radii.append(_ceil_isqrt(-(-n * n * pval2 // dval2)))
     # pairwise disjoint disks => exactly one true root per disk
     for i in range(len(points)):
+        xi, yi = points[i]
+        ri = radii[i]
         for j in range(i + 1, len(points)):
-            gap2 = _abs2((points[i][0] - points[j][0], points[i][1] - points[j][1]))
-            s = radii[i] + radii[j]
-            if gap2 <= s * s:
+            dx, dy = xi - points[j][0], yi - points[j][1]
+            s = ri + radii[j]
+            if dx * dx + dy * dy <= s * s:
                 return None
-    lo = hi = None
-    for z, rad in zip(points, radii):
-        m2 = _abs2(z)
-        zlo = _sqrt_lower(m2) - rad
-        zhi = _sqrt_upper(m2) + rad
-        lo = zlo if lo is None or zlo > lo else lo
-        hi = zhi if hi is None or zhi > hi else hi
-    return lo, hi
+    moduli2 = [x * x + y * y for x, y in points]
+    lo = max(isqrt(m2) - rad for m2, rad in zip(moduli2, radii))
+    hi = max(_ceil_isqrt(m2) + rad for m2, rad in zip(moduli2, radii))
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
 
 def radius_enclosure(p: IntPolynomial, tol=DEFAULT_TOL) -> Enclosure:

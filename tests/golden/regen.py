@@ -2,13 +2,17 @@
 
 Run from anywhere:
 
-    python3 tests/golden/regen.py
+    python3 tests/golden/regen.py          # rewrite every golden
+    python3 tests/golden/regen.py --check  # list stale goldens, write nothing
 
 Each golden file is the exact stdout of one CLI invocation against the
 documents shipped in demos/documents/.  Tests compare byte-for-byte, so
 regenerate only when an output change is intentional, and review the diff.
+``--check`` prints the name of each golden whose current output differs
+and exits 1 if any do.
 """
 
+import argparse
 import contextlib
 import io
 import pathlib
@@ -49,13 +53,24 @@ def run(argv):
     return buf.getvalue()
 
 
-def main_regen():
+def main_regen(cli_args=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; list goldens whose output differs")
+    check = parser.parse_args(cli_args).check
+    stale = 0
     for name, argv in CASES.items():
         if argv[0] != "gate" and not argv[1].startswith("--"):
             argv = [argv[0], str(DOCS / argv[1])] + argv[2:]
         out = run(argv)
-        (HERE / name).write_text(out)
-        print("wrote %s (%d bytes)" % (name, len(out)))
+        if check:
+            if (HERE / name).read_text() != out:
+                print("differs: %s" % name)
+                stale += 1
+        else:
+            (HERE / name).write_text(out)
+            print("wrote %s (%d bytes)" % (name, len(out)))
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from blowdyn.document import dumps, load
 from blowdyn.spectral import dynamical_degrees
 
 from tests.golden.regen import CASES, DOCS, HERE as GOLDEN_DIR
+from tests.oracles import LEHMER, bisect_largest_real_root
 
 
 def run(argv):
@@ -138,6 +139,18 @@ class TestToleranceFlow:
         lam1 = json.loads(out)["degrees"][1]
         assert Fraction(lam1["hi"]) - Fraction(lam1["lo"]) <= Fraction(1, 10**80)
 
+    def test_tol_1e_300_certifies_lehmer(self):
+        code, out, err = run(["degrees", str(DOCS / "e10_coxeter.json"), "--action",
+                              "coxeter", "--tol", "1e-300", "--format", "json"])
+        assert code == 0 and err == ""
+        lam1 = json.loads(out)["degrees"][1]
+        lo, hi = Fraction(lam1["lo"]), Fraction(lam1["hi"])
+        assert hi - lo <= Fraction(1, 10**300)
+        # the oracle window is wider than the certified one, so it must
+        # contain it
+        a, b = bisect_largest_real_root(LEHMER, Fraction(1), Fraction(2), digits=320)
+        assert a <= lo and hi <= b
+
     @pytest.mark.parametrize("spelling", ["1e-9", "0.000000001", "1/1000000000"])
     def test_tol_spellings(self, spelling):
         code, out, _ = run(["degrees", str(DOCS / "f1.json"), "--action", "id",
@@ -182,6 +195,27 @@ class TestExitCodes:
     def test_missing_file_is_three(self, tmp_path):
         code, _, _ = run(["ring", str(tmp_path / "absent.json")])
         assert code == 3
+
+    UNDECODABLE = {
+        "nested100k": "[" * 100000 + "]" * 100000,
+        "int4301": '{"variety": {"k": 2, "centers": [{"dim": 0}]}, "actions": '
+                   '[{"name": "f", "matrix": [[%s, 0], [0, 1]]}]}' % ("1" * 4301),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNDECODABLE))
+    def test_undecodable_document_is_three(self, tmp_path, name):
+        bad = self.write(tmp_path, self.UNDECODABLE[name])
+        code, out, err = run(["degrees", bad, "--action", "f"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(UNDECODABLE))
+    def test_undecodable_curve_file_is_three(self, tmp_path, name):
+        bad = self.write(tmp_path, self.UNDECODABLE[name], name="curves.json")
+        code, out, err = run(["nef-check", str(DOCS / "blline_p3.json"),
+                              "--class", "pencil", "--curves", bad])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_schema_error_is_four(self, tmp_path):
         bad = self.write(tmp_path, '{"variety": {"k": 2, "centers": []}, "junk": 1}')

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowdyn.polys import (
     LEHMER_POLYNOMIAL,
@@ -187,6 +189,51 @@ class TestUnitCircleTest:
                 p = p * cyclotomic(rng.randint(1, 12))
             assert is_cyclotomic_product(p)
             assert not is_cyclotomic_product(p * GOLDEN)
+
+
+# non-cyclotomic factors appended to the random cyclotomic products:
+# Lehmer, a quadratic Pisot family, a Pisot cubic, a squared Salem factor
+_MENU = ("lehmer", "quadratic", "pisot_cubic", "squared")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    xmult=st.integers(0, 3),
+    cyclos=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 3)), max_size=4),
+    extra=st.sampled_from(_MENU),
+    n=st.integers(1, 6),
+)
+def test_strip_matches_sympy_factor_list(xmult, cyclos, extra, n):
+    """Differential check against sympy: x^a * prod Phi_n^e * (menu factor)
+    must give the same core, x-multiplicity and stripped degree."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    menu = {
+        "lehmer": sympy.Poly(list(reversed(LEHMER_POLYNOMIAL.coeffs)), x),
+        "quadratic": sympy.Poly(x**2 - n * x - 1, x),
+        "pisot_cubic": sympy.Poly(x**3 - x - 1, x),
+        "squared": sympy.Poly((x**4 - n * x**3 - x**2 - n * x + 1) ** 2, x),
+    }
+    poly = sympy.Poly(x**xmult, x) * menu[extra]
+    for order, mult in cyclos:
+        poly = poly * sympy.Poly(sympy.cyclotomic_poly(order, x), x) ** mult
+
+    want_core, want_x, want_stripped = sympy.Poly(1, x), 0, 0
+    _, factors = poly.factor_list()
+    for factor, mult in factors:
+        if factor == sympy.Poly(x, x):
+            want_x += mult
+        elif factor.is_cyclotomic:
+            want_stripped += factor.degree() * mult
+        else:
+            want_core = want_core * factor**mult
+
+    core, got_x, stripped = strip_unit_circle_factors(
+        P(*(int(c) for c in reversed(poly.all_coeffs())))
+    )
+    assert got_x == want_x
+    assert stripped == want_stripped
+    assert core == P(*(int(c) for c in reversed(want_core.all_coeffs())))
 
 
 class TestLehmerPolynomial:

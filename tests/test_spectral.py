@@ -10,6 +10,7 @@ and its entropy inside the corresponding log window.
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from blowdyn.actions import PullbackAction, identity_action
@@ -29,6 +30,7 @@ from blowdyn.spectral import (
     INDETERMINATE,
     PASS,
     DegreeSequence,
+    _certified_radius_bounds,
     Enclosure,
     char_poly,
     degree_properties_report,
@@ -234,6 +236,42 @@ class TestRadiusEnclosure:
             # root is (n + sqrt(n^2+4))/2; check against the oracle
             lo, hi = bisect_largest_real_root([-1, -n, 1], 1, n + 2, digits=25)
             assert lo <= enc.lo and enc.hi <= hi
+
+
+class TestCertification:
+    """The integer disk test behind every non-trivial enclosure."""
+
+    SQRT2_POLY = IntPolynomial((-2, 0, 1))
+
+    @staticmethod
+    def points(*values):
+        with mp.workdps(40):
+            return [mp.mpc(mp.mpf(v)) for v in values]
+
+    def test_good_approximations_certify(self):
+        with mp.workdps(40):
+            roots = [mp.mpc(mp.sqrt(2)), mp.mpc(-mp.sqrt(2))]
+        lo, hi = _certified_radius_bounds(self.SQRT2_POLY, roots)
+        assert lo * lo < 2 < hi * hi
+        assert hi - lo < Fraction(1, 10**30)
+
+    def test_coincident_approximations_rejected(self):
+        assert _certified_radius_bounds(self.SQRT2_POLY, self.points("1.5", "1.5")) is None
+
+    def test_overlapping_disks_rejected(self):
+        # radii 2|p/p'| are about 0.029 and 0.167 against a gap of 0.1
+        assert _certified_radius_bounds(self.SQRT2_POLY, self.points("1.4", "1.5")) is None
+
+    def test_vanishing_derivative_rejected(self):
+        assert _certified_radius_bounds(self.SQRT2_POLY, self.points("0", "1.4")) is None
+
+    @pytest.mark.parametrize("poly", [GOLDEN_POLY, LEHMER_POLYNOMIAL, IntPolynomial((-1, -1, 0, 1))])
+    def test_endpoints_are_dyadic(self, poly):
+        for tol in (Fraction(1, 10**9), Fraction(1, 10**60)):
+            enc = radius_enclosure(poly, tol)
+            for end in (enc.lo, enc.hi):
+                d = end.denominator
+                assert d & (d - 1) == 0, end
 
 
 # ------------------------------------------------------------------- degrees

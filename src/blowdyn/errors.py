@@ -55,12 +55,15 @@ class HypothesisViolation(BlowdynError):
 class ToleranceUnreachable(BlowdynError):
     """An enclosure could not be tightened to the requested width.
 
-    ``best`` holds the tightest enclosure that was achieved.
+    ``best`` holds the tightest enclosure that was achieved.  ``attempts``
+    lists every certification attempt as (dps, seeded, outcome), outcome
+    one of "no-convergence", "overlap" or "width > tol".
     """
 
-    def __init__(self, message, best=None):
+    def __init__(self, message, best=None, attempts=()):
         super().__init__(message)
         self.best = best
+        self.attempts = tuple(attempts)
 
 
 class DocumentError(BlowdynError):

@@ -22,6 +22,7 @@ from .errors import (
     RingMismatch,
     ZeroClass,
 )
+from .polys import is_cyclotomic_product
 from .ring import GradedClass, RingModel
 from .spectral import (
     DEFAULT_TOL,
@@ -30,7 +31,6 @@ from .spectral import (
     _as_fraction,
     char_poly,
     dynamical_degrees,
-    radius_enclosure,
 )
 
 NOT_APPLICABLE = "not-applicable"
@@ -259,8 +259,9 @@ def _int_gcd(a: int, b: int) -> int:
 def pf_eigenvector(action, tol=Fraction(1, 10**9), max_iter: int = 1000) -> PFReport:
     """Approximate the expanding direction of a validated action.
 
-    If the degree-1 spectral radius is exactly 1 (proved cyclotomically)
-    there is nothing to expand toward and the status is "no-expansion".
+    If the degree-1 characteristic polynomial is a product of cyclotomics,
+    the spectral radius is exactly 1 (Kronecker): there is nothing to
+    expand toward and the status is "no-expansion".
     Otherwise iterate from h; on convergence the rationalized direction is
     run through the nef necessary checks (the limit class of an actual
     automorphism would have to be nef)."""
@@ -268,7 +269,7 @@ def pf_eigenvector(action, tol=Fraction(1, 10**9), max_iter: int = 1000) -> PFRe
     tol = _as_fraction(tol)
     ring = action.ring
     matrix = action.induce(1)
-    if radius_enclosure(char_poly(matrix)).exact_one:
+    if is_cyclotomic_product(char_poly(matrix)):
         return PFReport(
             status=NO_EXPANSION,
             iterations=0,

@@ -16,6 +16,9 @@ The pipeline is exact end to end:
     distances) proves each contains exactly one true root.  The spectral
     radius then lies in [max(|z|-R), max(|z|+R)], with |z| bounded by
     integer square roots, so both endpoints are dyadic rationals m / 2^E.
+    mpmath's Durand-Kerner iteration starts from roots found first by the
+    same iteration in hardware floats, so only its last few steps run in
+    multiprecision; the float roots are never used as bounds.
 
 Floating point is only ever used to *guess*; every reported bound is an
 exact Fraction that has been proved correct.
@@ -23,10 +26,11 @@ exact Fraction that has been proved correct.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 from mpmath.libmp.libhyper import NoConvergence
@@ -48,6 +52,14 @@ DEFAULT_TOL = Fraction(1, 10**9)
 
 _DPS_LADDER = (60, 120, 240, 480)
 _LOG_PAD = Fraction(1, 10**45)
+# float root seeds: relative correction to stop at, and sweeps allowed
+_SEED_RTOL = 1e-12
+_SEED_MAXSTEPS = 200
+
+# why a rung of the precision ladder did not end the search
+NO_CONVERGENCE = "no-convergence"
+OVERLAP = "overlap"
+TOO_WIDE = "width > tol"
 
 
 # ------------------------------------------------------------------ charpoly
@@ -288,6 +300,70 @@ def _certified_radius_bounds(sf: IntPolynomial, approx_roots) -> Optional[Tuple[
     return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
 
 
+def _float_seeds(coeffs: Sequence[int]) -> Optional[List[complex]]:
+    """Approximate roots of the polynomial with ascending integer coeffs,
+    from mpmath's Durand-Kerner update run in hardware complex floats from
+    mpmath's own start points (0.4+0.9i)^n.
+
+    None when a coefficient does not fit a float, the arithmetic overflows,
+    some root is not finite, or the relative corrections do not all drop
+    below _SEED_RTOL within _SEED_MAXSTEPS sweeps.  The result is only a
+    starting guess for mp.polyroots."""
+    try:
+        lead = float(coeffs[-1])
+        c = [float(a) / lead for a in reversed(coeffs)]
+        d = len(c) - 1
+        roots = [(0.4 + 0.9j) ** n for n in range(d)]
+        for _ in range(_SEED_MAXSTEPS):
+            settled = True
+            for i in range(d):
+                p = roots[i]
+                x = c[0]
+                for a in c[1:]:
+                    x = x * p + a
+                for j in range(d):
+                    if j != i and p != roots[j]:
+                        x /= p - roots[j]
+                p -= x
+                roots[i] = p
+                # written so that a NaN correction never counts as settled
+                if not abs(x) <= _SEED_RTOL * abs(p):
+                    settled = False
+            if settled:
+                break
+        else:
+            return None
+    except (OverflowError, ZeroDivisionError):
+        return None
+    # check every seed: a NaN does not survive max() reliably
+    if not all(cmath.isfinite(z) for z in roots):
+        return None
+    return roots
+
+
+def _certify_at(sf: IntPolynomial, dps: int, upper: Fraction, seeds) -> Union[Enclosure, str]:
+    """One rung of the precision ladder: approximate the roots of sf at dps
+    digits, starting from ``seeds`` when given, and certify them.  The
+    enclosure, or why there is none (NO_CONVERGENCE or OVERLAP)."""
+    try:
+        with mp.workdps(dps):
+            coeffs = [mp.mpf(c) for c in reversed(sf.coeffs)]
+            init = None if seeds is None else [mp.mpc(z) for z in seeds]
+            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=120, roots_init=init)
+    except NoConvergence:
+        return NO_CONVERGENCE
+    bounds = _certified_radius_bounds(sf, roots)
+    if bounds is None:
+        return OVERLAP
+    lo, hi = bounds
+    # a monic integer polynomial with nonzero constant term has root
+    # modulus product >= 1, so the largest modulus is >= 1
+    lo = max(lo, Fraction(1))
+    hi = min(hi, upper)
+    assert lo <= hi, "certified bounds contradict the root bounds"
+    return Enclosure(lo, hi)
+
+
 def radius_enclosure(p: IntPolynomial, tol=DEFAULT_TOL) -> Enclosure:
     """Certified enclosure of the largest root modulus of a monic integer
     polynomial, to width <= tol.
@@ -297,6 +373,11 @@ def radius_enclosure(p: IntPolynomial, tol=DEFAULT_TOL) -> Enclosure:
     (nilpotent spectrum; cannot arise from an invertible action), and
     ToleranceUnreachable if certification keeps failing at the highest
     working precision.
+
+    Each rung of the precision ladder starts mpmath from the float seeds of
+    the squarefree core.  A seeded rung that does not converge or does not
+    certify is run again unseeded, as are all rungs after it, so a bad
+    guess never changes the enclosure.
     """
     tol = _as_fraction(tol)
     if tol <= 0:
@@ -312,25 +393,19 @@ def radius_enclosure(p: IntPolynomial, tol=DEFAULT_TOL) -> Enclosure:
         return Enclosure.exactly_one()
     sf = squarefree_part(core)
     upper = cauchy_root_bound(sf)
+    seeds = _float_seeds(sf.coeffs)
     best: Optional[Enclosure] = None
+    attempts: List[Tuple[int, bool, str]] = []
     for dps in _DPS_LADDER:
-        try:
-            with mp.workdps(dps):
-                coeffs = [mp.mpf(c) for c in reversed(sf.coeffs)]
-                roots = mp.polyroots(coeffs, maxsteps=200, extraprec=120)
-        except NoConvergence:
+        enc = _certify_at(sf, dps, upper, seeds)
+        if seeds is not None and not isinstance(enc, Enclosure):
+            attempts.append((dps, True, enc))
+            seeds = None
+            enc = _certify_at(sf, dps, upper, None)
+        seeded = seeds is not None
+        if not isinstance(enc, Enclosure):
+            attempts.append((dps, seeded, enc))
             continue
-        bounds = _certified_radius_bounds(sf, roots)
-        if bounds is None:
-            continue
-        lo, hi = bounds
-        # a monic integer polynomial with nonzero constant term has root
-        # modulus product >= 1, so the largest modulus is >= 1
-        lo = max(lo, Fraction(1))
-        hi = min(hi, upper)
-        if hi < lo:
-            continue
-        enc = Enclosure(lo, hi)
         if best is None or enc.width < best.width:
             best = enc
         if enc.width <= tol:
@@ -338,10 +413,12 @@ def radius_enclosure(p: IntPolynomial, tol=DEFAULT_TOL) -> Enclosure:
             # strictly above 1; a certified upper bound at 1 is a bug
             assert enc.hi > 1, "certified bound contradicts Kronecker"
             return enc
+        attempts.append((dps, seeded, TOO_WIDE))
     raise ToleranceUnreachable(
         "could not certify the spectral radius to width %s (best achieved: %s)"
         % (tol, best.width if best is not None else "none"),
         best=best,
+        attempts=tuple(attempts),
     )
 
 

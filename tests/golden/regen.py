@@ -18,10 +18,13 @@ import io
 import pathlib
 import sys
 
-from blowdyn.cli import main
-
 HERE = pathlib.Path(__file__).resolve().parent
-DOCS = HERE.parents[1] / "demos" / "documents"
+ROOT = HERE.parents[1]
+DOCS = ROOT / "demos" / "documents"
+
+# the checkout's own package, whatever the working directory
+sys.path.insert(0, str(ROOT / "src"))
+from blowdyn.cli import main  # noqa: E402
 
 CASES = {
     "ring_blline.txt": ["ring", "blline_p3.json"],

@@ -5,6 +5,7 @@ the weak Fano report."""
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from blowdyn.actions import identity_action
@@ -245,6 +246,16 @@ class TestPFEigenvector:
     def test_finite_order_has_no_expansion(self):
         rep = pf_eigenvector(cremona_action(build_ring(BlowupConfig(2, (0, 0, 0)))))
         assert rep.status == NO_EXPANSION
+
+    def test_verdict_needs_no_root_finding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pf_eigenvector must not approximate roots")
+
+        monkeypatch.setattr(mp, "polyroots", refuse)
+        ring = build_ring(BlowupConfig(3, (0, 0, 1, 1)))
+        rep = pf_eigenvector(permutation_action(ring, (1, 0, 3, 2)))
+        assert rep.status == NO_EXPANSION
+        assert pf_eigenvector(coxeter_action(ring_e10())).status == CONVERGED
 
     def test_iteration_budget_reported_not_fatal(self):
         rep = pf_eigenvector(coxeter_action(ring_e10()), max_iter=3)

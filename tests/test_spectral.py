@@ -23,14 +23,27 @@ from blowdyn.lattices import (
     reflection_matrix,
     weyl_roots,
 )
-from blowdyn.polys import LEHMER_POLYNOMIAL, IntPolynomial, cyclotomic, is_cyclotomic_product
+from blowdyn.polys import (
+    LEHMER_POLYNOMIAL,
+    IntPolynomial,
+    cauchy_root_bound,
+    cyclotomic,
+    is_cyclotomic_product,
+    squarefree_part,
+    strip_unit_circle_factors,
+)
 from blowdyn.ring import BlowupConfig, build_ring
+import blowdyn.spectral as spectral
 from blowdyn.spectral import (
+    _DPS_LADDER,
     FAIL,
     INDETERMINATE,
+    NO_CONVERGENCE,
     PASS,
+    TOO_WIDE,
     DegreeSequence,
     _certified_radius_bounds,
+    _float_seeds,
     Enclosure,
     char_poly,
     degree_properties_report,
@@ -211,6 +224,10 @@ class TestRadiusEnclosure:
         assert best is not None
         assert best.width < Fraction(1, 10**100)
         assert Fraction("1.618033988") < best.lo < best.hi < Fraction("1.618033989")
+        attempts = exc.value.attempts
+        assert [dps for dps, _, _ in attempts] == list(_DPS_LADDER)
+        assert all(outcome == TOO_WIDE for _, _, outcome in attempts)
+        assert attempts[0][1] is True
 
     def test_salem_times_cyclotomic_same_radius(self):
         plain = radius_enclosure(LEHMER_POLYNOMIAL)
@@ -272,6 +289,90 @@ class TestCertification:
             for end in (enc.lo, enc.hi):
                 d = end.denominator
                 assert d & (d - 1) == 0, end
+
+
+class TestWarmStart:
+    """mp.polyroots starts from hardware-float Durand-Kerner seeds; the
+    certified enclosures must be exactly those of the unseeded ladder."""
+
+    HUGE_MIDDLE = IntPolynomial((-1, 0, -10**120, 1))  # x^3 - 10^120 x^2 - 1
+
+    @staticmethod
+    def core(p):
+        shifted = p.shift_down(p.trailing_zeros())
+        return squarefree_part(strip_unit_circle_factors(shifted)[0])
+
+    @staticmethod
+    def unseeded_enclosure(sf, tol, cache):
+        """The precision ladder with plain mp.polyroots calls, no seeds."""
+        for dps in _DPS_LADDER:
+            if dps not in cache:
+                try:
+                    with mp.workdps(dps):
+                        coeffs = [mp.mpf(c) for c in reversed(sf.coeffs)]
+                        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=120)
+                except mp.libmp.libhyper.NoConvergence:
+                    cache[dps] = None
+                    continue
+                cache[dps] = _certified_radius_bounds(sf, roots)
+            if cache[dps] is None:
+                continue
+            lo, hi = cache[dps]
+            enc = Enclosure(max(lo, Fraction(1)), min(hi, cauchy_root_bound(sf)))
+            if enc.width <= tol:
+                return enc
+        raise AssertionError("the unseeded ladder did not reach tol")
+
+    @pytest.mark.parametrize(
+        "poly",
+        [LEHMER_POLYNOMIAL]
+        + [IntPolynomial((-1, -n, 1)) for n in range(1, 5)]
+        + [char_poly(coxeter_matrix(m)) for m in (10, 20, 40)],
+        ids=["lehmer"] + ["pisot%d" % n for n in range(1, 5)] + ["c10", "c20", "c40"],
+    )
+    def test_seeded_matches_unseeded(self, poly):
+        sf = self.core(poly)
+        assert _float_seeds(sf.coeffs) is not None
+        cache = {}
+        for tol in (Fraction(1, 10**9), Fraction(1, 10**60)):
+            assert radius_enclosure(poly, tol) == self.unseeded_enclosure(sf, tol, cache)
+
+    def test_float_overflow_gives_no_seeds(self):
+        assert _float_seeds(self.HUGE_MIDDLE.coeffs) is None
+        assert _float_seeds((-1, -10**309, 1)) is None
+
+    def test_huge_coefficient_still_certified(self):
+        enc = radius_enclosure(self.HUGE_MIDDLE)
+        assert enc.width <= Fraction(1, 10**9)
+        # the largest root is 10^120 + 10^-240 + ...
+        assert 10**120 < enc.hi and enc.lo < 10**120 + 1
+
+    def test_bad_seeds_fall_back_to_unseeded(self, monkeypatch):
+        plain = radius_enclosure(LEHMER_POLYNOMIAL)
+        # all seeds on one point: mpmath's iteration cannot separate them
+        monkeypatch.setattr(spectral, "_float_seeds", lambda coeffs: [1.5 + 0j] * (len(coeffs) - 1))
+        calls = []
+        real = mp.polyroots
+
+        def spy(*args, **kwargs):
+            calls.append((mp.mp.dps, kwargs.get("roots_init") is not None))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "polyroots", spy)
+        assert radius_enclosure(LEHMER_POLYNOMIAL) == plain
+        assert calls == [(60, True), (60, False)]
+
+    def test_fallback_recorded_in_attempts(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_float_seeds", lambda coeffs: [1.5 + 0j] * (len(coeffs) - 1))
+        with pytest.raises(ToleranceUnreachable) as exc:
+            radius_enclosure(LEHMER_POLYNOMIAL, tol=Fraction(1, 10**3000))
+        assert exc.value.attempts == (
+            (60, True, NO_CONVERGENCE),
+            (60, False, TOO_WIDE),
+            (120, False, TOO_WIDE),
+            (240, False, TOO_WIDE),
+            (480, False, TOO_WIDE),
+        )
 
 
 # ------------------------------------------------------------------- degrees

@@ -444,6 +444,11 @@ def _add_common(sub, doc="required"):
     sub.add_argument("--digits", type=int, default=12, help="decimal digits for enclosures")
 
 
+# CPython raises a plain ValueError, starting with this text, when int -> str
+# (or str -> int) meets a number longer than sys.get_int_max_str_digits()
+_INT_STR_LIMIT = "Exceeds the limit ("
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blowdyn",
@@ -518,6 +523,16 @@ def main(argv=None) -> int:
         return _fail(exc, 6)
     except BlowdynError as exc:
         return _fail(exc, 7)
+    except ValueError as exc:
+        # only int <-> str refusing a number past the digit limit; any other
+        # ValueError is a bug and keeps its traceback
+        if not str(exc).startswith(_INT_STR_LIMIT):
+            raise
+        return _fail(
+            "a number has more than %d decimal digits, Python's int/str conversion limit"
+            % sys.get_int_max_str_digits(),
+            7,
+        )
 
 
 def _fail(exc, code: int) -> int:

@@ -85,24 +85,6 @@ def det(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def solve_fraction(a: Matrix, rhs: Sequence) -> tuple:
-    """Solve a x = rhs exactly over the rationals. Raises on singular a."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise NotUnimodular("singular matrix in exact solve")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(row[n] for row in m)
-
-
 def inverse_unimodular(a: Matrix) -> Matrix:
     """Invert an integer matrix with determinant +-1.
 

@@ -4,6 +4,7 @@ The pipeline is exact end to end:
 
   * characteristic polynomials come from the division-free Berkowitz
     scheme, so a matrix of ints yields an IntPolynomial with no rounding;
+    its products skip the zero entries that fill induced matrices;
   * powers of x and cyclotomic factors are stripped exactly; if nothing is
     left, the spectral radius is exactly 1 (Kronecker's theorem);
   * otherwise mpmath supplies root *approximations* which are then
@@ -30,6 +31,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
@@ -71,7 +73,12 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
     Berkowitz's division-free algorithm: iterate over leading principal
     submatrices, each step a Toeplitz convolution with the column
     [1, -M[s][s], -R*S, -R*A*S, ...] where A, R, S are the previous block,
-    the new row and the new column.
+    the new row and the new column.  Each row of A, and R, is kept as the
+    columns and values of its nonzero entries, so the products R*A^t*S
+    never multiply by a stored zero, and they stop once A^t*S is the zero
+    vector: induced matrices are mostly zeros, and those of permutation
+    actions are permutation matrices.  Only zero terms are skipped, so every
+    integer, and the polynomial, is that of the dense recurrence.
     """
     n = len(matrix)
     if n == 0:
@@ -81,22 +88,35 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
             raise LengthMismatch("characteristic polynomial needs a square matrix")
     # coefficients in descending order, starting from the 1x1 block
     coeffs = [1, -matrix[0][0]]
+    # (columns, values) of the nonzero entries of each row of the s x s block
+    rows = [([0], [matrix[0][0]]) if matrix[0][0] else ([], [])]
     for s in range(1, n):
-        a_block = [row[:s] for row in matrix[:s]]
-        row_new = matrix[s][:s]
-        col_new = [matrix[i][s] for i in range(s)]
+        r_cols = [j for j, a in enumerate(matrix[s][:s]) if a]
+        r_vals = [matrix[s][j] for j in r_cols]
+        vec = [matrix[i][s] for i in range(s)]  # A^t S, from t = 0
         toeplitz = [1, -matrix[s][s]]
-        vec = list(col_new)
-        for _ in range(s):
-            toeplitz.append(-sum(row_new[i] * vec[i] for i in range(s)))
-            vec = [sum(a_block[i][j] * vec[j] for j in range(s)) for i in range(s)]
+        for t in range(s):
+            if not any(vec):
+                break  # R*A^u*S = 0 for every u >= t
+            get = vec.__getitem__
+            toeplitz.append(-sum(map(mul, r_vals, map(get, r_cols))))
+            if t < s - 1:  # A^s S is never used
+                vec = [sum(map(mul, vals, map(get, cols))) for cols, vals in rows]
         new_coeffs = [0] * (s + 2)
         for i, tv in enumerate(toeplitz):
             if tv:
-                for j, cv in enumerate(coeffs):
-                    if i + j < s + 2:
-                        new_coeffs[i + j] += tv * cv
+                for j, cv in enumerate(coeffs[:s + 2 - i], i):
+                    new_coeffs[j] += tv * cv
         coeffs = new_coeffs
+        # grow the block by column s and row s
+        for i in range(s):
+            if matrix[i][s]:
+                rows[i][0].append(s)
+                rows[i][1].append(matrix[i][s])
+        if matrix[s][s]:
+            r_cols.append(s)
+            r_vals.append(matrix[s][s])
+        rows.append((r_cols, r_vals))
     return IntPolynomial(tuple(reversed(coeffs)))
 
 

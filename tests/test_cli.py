@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,32 @@ class TestExitCodes:
         code, _, err = run(["nu", str(DOCS / "blpt_p3.json"),
                             "--class", "h", "--ample=e1"])
         assert code == 7 and "ample" in err
+
+    def big_class_doc(self, tmp_path):
+        # a's coefficient fits the int/str digit limit, that of a * a does not
+        digits = sys.get_int_max_str_digits() // 2 + 1
+        return self.write(
+            tmp_path,
+            '{"variety": {"k": 2, "centers": [{"dim": 0}]},'
+            ' "classes": [{"name": "a", "coeffs": [%s, -1]}]}' % ("7" * digits),
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_result_past_digit_limit_is_seven(self, tmp_path, fmt):
+        doc = self.big_class_doc(tmp_path)
+        code, out, err = run(["mul", doc, "--class", "a", "--class", "a", "--format", fmt])
+        assert code == 7 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(sys.get_int_max_str_digits()) in err
+
+    def test_result_within_digit_limit_prints(self, tmp_path):
+        code, out, _ = run(["mul", self.big_class_doc(tmp_path), "--class", "a"])
+        assert code == 0 and "7" * (sys.get_int_max_str_digits() // 2 + 1) in out
+
+    def test_decimals_past_digit_limit_are_seven(self):
+        code, out, err = run(["degrees", str(DOCS / "e10_coxeter.json"), "--action", "coxeter",
+                              "--digits", str(sys.get_int_max_str_digits() + 1)])
+        assert code == 7 and out == "" and err.startswith("error: ")
 
     def test_gate_doc_and_k_conflict_is_three(self):
         code, _, _ = run(["gate", str(DOCS / "f1.json"), "--k", "7"])

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowdyn.actions import PullbackAction, identity_action
 from blowdyn.errors import LengthMismatch, ToleranceUnreachable
@@ -112,6 +114,63 @@ class TestCharPoly:
             p = char_poly(m)
             assert p.coeffs[-1] == 1
             assert p.coeffs[-2] == -sum(m[i][i] for i in range(n))
+
+    def test_permutation_action_closed_form(self):
+        # every induced matrix of a center permutation is a permutation
+        # matrix, whose char poly is prod (x^l - 1) over its cycle lengths l
+        ring = build_ring(BlowupConfig(24, (10, 10, 8, 8, 4, 4, 1, 1, 0, 0)))
+        action = permutation_action(ring, (1, 0, 3, 2, 5, 4, 7, 6, 9, 8))
+        ranks = []
+        for p in range(ring.k + 1):
+            m = action.induce(p)
+            target = [row.index(1) for row in m]
+            assert sorted(target) == list(range(len(m)))
+            assert all(sum(row) == 1 for row in m)
+            want, seen = IntPolynomial.one(), set()
+            for start in range(len(m)):
+                length, i = 0, start
+                while i not in seen:
+                    seen.add(i)
+                    i, length = target[i], length + 1
+                if length:
+                    want = want * (IntPolynomial.x_power(length) - IntPolynomial.one())
+            assert char_poly(m) == want
+            ranks.append(len(m))
+        assert max(ranks) == 57
+
+
+@st.composite
+def _square_matrices(draw):
+    """Integer matrices, n <= 12: zero, sparse, full, permutation, or block
+    upper triangular, with entries up to 10^30 in absolute value."""
+    n = draw(st.integers(1, 12))
+    bound = draw(st.sampled_from((1, 9, 10**6, 10**30)))
+    entry = st.integers(-bound, bound)
+    kind = draw(st.sampled_from(("zero", "sparse", "full", "permutation", "block")))
+    if kind == "zero":
+        return [[0] * n for _ in range(n)]
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        return [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    cells = {(i, j) for i in range(n) for j in range(n)}
+    if kind == "sparse":
+        cells = draw(st.sets(st.sampled_from(sorted(cells)), max_size=2 * n))
+    elif kind == "block":
+        split = draw(st.integers(0, n))
+        cells = {(i, j) for i, j in cells if i < split or j >= split}
+    m = [[0] * n for _ in range(n)]
+    for i, j in sorted(cells):
+        m[i][j] = draw(entry)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_square_matrices())
+def test_char_poly_matches_sympy(m):
+    """Differential check of the sparse Berkowitz recurrence against sympy."""
+    sympy = pytest.importorskip("sympy")
+    theirs = sympy.Matrix(m).charpoly(sympy.Symbol("x")).all_coeffs()  # descending
+    assert list(char_poly(m).coeffs) == [int(c) for c in reversed(theirs)]
 
 
 # ----------------------------------------------------------------- enclosure

@@ -435,13 +435,24 @@ _COMMANDS = {
 }
 
 
+def _digits(text):
+    """--digits: how many decimals to print, so a nonnegative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer, got %r" % text)
+    return n
+
+
 def _add_common(sub, doc="required"):
     if doc == "required":
         sub.add_argument("doc", help="input document (JSON)")
     elif doc == "optional":
         sub.add_argument("doc", nargs="?", help="input document (JSON)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--digits", type=int, default=12, help="decimal digits for enclosures")
+    sub.add_argument("--digits", type=_digits, default=12, help="decimal digits for enclosures")
 
 
 # CPython raises a plain ValueError, starting with this text, when int -> str

@@ -60,7 +60,10 @@ class InputDocument:
     tol: Optional[Fraction] = None
 
     def build_ring(self) -> RingModel:
-        return build_ring(self.variety)
+        try:
+            return build_ring(self.variety)
+        except InvalidConfig as exc:
+            raise ConsistencyError("variety: %s" % exc)
 
     def action(self, ring: RingModel, name: str) -> PullbackAction:
         for na in self.actions:

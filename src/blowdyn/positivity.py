@@ -27,7 +27,6 @@ from .ring import GradedClass, RingModel
 from .spectral import (
     DEFAULT_TOL,
     DegreeSequence,
-    Enclosure,
     _as_fraction,
     char_poly,
     dynamical_degrees,
@@ -339,157 +338,6 @@ def nef_vanishing_colinearity(x: NefAssertion, y: NefAssertion) -> ColinearityRe
                 witness=label,
             )
     return ColinearityReport(COLINEAR, "y = c*x with c = %s" % factor, factor=factor)
-
-
-# ------------------------------------------------------------ pencil kernel
-
-
-@dataclass(frozen=True)
-class PencilKernelReport:
-    """Kernel of (a, b) -> (a*x + b*y) * product(multipliers).
-
-    applicable requires x*y*prod = 0 (so the two images overlap only at 0
-    in the relevant degree) and at most k-2 multipliers."""
-
-    applicable: bool
-    reason: str
-    kernel_dim: int
-    kernel_basis: Tuple[Tuple[Fraction, Fraction], ...]
-    uniqueness_expected: bool
-
-
-def pencil_kernel(
-    x: GradedClass, y: GradedClass, multipliers: Sequence[GradedClass]
-) -> PencilKernelReport:
-    ring = x.ring
-    if y.ring is not ring or any(m.ring is not ring for m in multipliers):
-        raise RingMismatch("pencil ingredients live in different rings")
-    if len(multipliers) > ring.k - 2:
-        raise HypothesisViolation(
-            "at most k-2 = %d multipliers allowed, got %d"
-            % (ring.k - 2, len(multipliers))
-        )
-    pi = ring.one()
-    for mclass in multipliers:
-        pi = pi * mclass
-    if not (x * y * pi).is_zero:
-        return PencilKernelReport(
-            applicable=False,
-            reason="x*y*prod(multipliers) != 0",
-            kernel_dim=0,
-            kernel_basis=(),
-            uniqueness_expected=False,
-        )
-    u = x * pi
-    v = y * pi
-    # kernel of (a, b) -> a*u + b*v
-    if u.is_zero and v.is_zero:
-        dim, basis = 2, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    elif u.is_zero:
-        dim, basis = 1, ((Fraction(1), Fraction(0)),)
-    elif v.is_zero:
-        dim, basis = 1, ((Fraction(0), Fraction(1)),)
-    else:
-        factor = _proportionality_factor(u, v)
-        if factor is None:
-            dim, basis = 0, ()
-        else:
-            # v = factor*u, so a + b*factor = 0
-            dim, basis = 1, ((-factor, Fraction(1)),)
-    return PencilKernelReport(
-        applicable=True,
-        reason="x*y*prod(multipliers) = 0",
-        kernel_dim=dim,
-        kernel_basis=basis,
-        uniqueness_expected=not v.is_zero,
-    )
-
-
-def _proportionality_factor(u: GradedClass, v: GradedClass) -> Optional[Fraction]:
-    """c with v = c*u, or None if the classes are independent."""
-    terms_u = dict(u.terms())
-    terms_v = dict(v.terms())
-    factor = None
-    for mono, cu in terms_u.items():
-        cv = terms_v.get(mono, Fraction(0))
-        c = cv / cu
-        if factor is None:
-            factor = c
-        elif factor != c:
-            return None
-    for mono in terms_v:
-        if mono not in terms_u:
-            return None
-    return factor
-
-
-# --------------------------------------------------- dimension-bound check
-
-
-@dataclass(frozen=True)
-class BoundCheckItem:
-    label: str
-    ok: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class DimensionBoundReport:
-    items: Tuple[BoundCheckItem, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(i.ok for i in self.items)
-
-    def summary(self) -> str:
-        lines = ["dimension bound checks: %s" % ("pass" if self.passed else "FAIL")]
-        for i in self.items:
-            lines.append("  [%s] %s: %s" % ("ok" if i.ok else "XX", i.label, i.detail))
-        return "\n".join(lines)
-
-
-def nef_dimension_bound_check(x: GradedClass) -> DimensionBoundReport:
-    """The exact consequences of nef-ness used by the descent argument,
-    stated for a degree-1 class x = a*h + sum c_i e_i with r = max center
-    dimension:
-
-      (i)   integral of x * h^(k-1) equals a;
-      (ii)  integral of x^(k-r-1) * h^(r+1) equals a^(k-r-1) -- a ring
-            identity here, verified as computed;
-      (iii) the numerical dimension of x is at least k-r-1.
-
-    (iii) genuinely depends on positivity; for a class that is not nef it
-    may simply fail, which the report states without judgement."""
-    ring = x.ring
-    k = ring.k
-    r = max(ring.config.centers) if ring.config.centers else 0
-    if k < r + 2:
-        raise HypothesisViolation(
-            "need k >= r+2 (k=%d, r=%d); the bound says nothing here" % (k, r)
-        )
-    if not x.is_homogeneous(1) or x.is_zero:
-        raise ValueError("the dimension bound applies to nonzero degree-1 classes")
-    a = x.coefficients(1)[0]  # h-coefficient: basis in degree 1 starts at h
-    lhs1 = ring.integrate(x * ring.h() ** (k - 1))
-    item1 = BoundCheckItem(
-        label="integral x.h^%d = a" % (k - 1),
-        ok=lhs1 == a,
-        detail="%s vs %s" % (lhs1, a),
-    )
-    power = k - r - 1
-    lhs2 = ring.integrate((x**power) * (ring.h() ** (r + 1)))
-    item2 = BoundCheckItem(
-        label="integral x^%d.h^%d = a^%d" % (power, r + 1, power),
-        ok=lhs2 == a**power,
-        detail="%s vs %s" % (lhs2, a**power),
-    )
-    nu = numerical_dimension(x)
-    item3 = BoundCheckItem(
-        label="nu(x) >= k-r-1 = %d" % power,
-        ok=nu >= power,
-        detail="nu(x) = %d" % nu,
-    )
-    return DimensionBoundReport(items=(item1, item2, item3))
 
 
 # ------------------------------------------------------ fixed nef classes

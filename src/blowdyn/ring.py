@@ -2,7 +2,8 @@
 linear subspaces.
 
 The variety is P^k blown up along m pairwise disjoint linear centers of
-dimensions r_1..r_m (each r_i <= k-2). Degree-p classes are spanned by
+dimensions r_1..r_m (each r_i <= k-2, and r_i + r_j <= k-1 for i != j, as
+disjointness needs). Degree-p classes are spanned by
 
     h^p                          and
     h^a * e_i^b   with  a + b = p,  0 <= a <= r_i,  1 <= b <= k - r_i - 1,
@@ -38,8 +39,8 @@ class BlowupConfig:
     """Ambient dimension k plus the dimensions of the blow-up centers.
 
     Centers are identified by position: ``centers[i]`` is the dimension of
-    the (i+1)-th center. Disjointness is part of the model, not checked
-    geometrically.
+    the (i+1)-th center. Only each dimension is checked here; the ring
+    model refuses pairs of centers that cannot be disjoint.
     """
 
     k: int
@@ -224,6 +225,18 @@ class RingModel:
     """
 
     def __init__(self, config: BlowupConfig):
+        # linear subspaces of P^k of dimensions r_i + r_j >= k always meet,
+        # and on such a pair the rule e_i * e_j = 0 contradicts the others:
+        # products would depend on the order of the factors
+        dims = config.centers
+        for i, ri in enumerate(dims):
+            for j in range(i + 1, len(dims)):
+                if ri + dims[j] >= config.k:
+                    raise InvalidConfig(
+                        "centers %d and %d (dimensions %d and %d) meet in P^%d; "
+                        "disjoint centers need r_i + r_j <= k - 1 = %d"
+                        % (i + 1, j + 1, ri, dims[j], config.k, config.k - 1)
+                    )
         self.config = config
         self.k = config.k
         self.m = config.m
@@ -428,7 +441,9 @@ class RingModel:
 
 
 def build_ring(config: BlowupConfig) -> RingModel:
-    """Construct the ring model for a validated blow-up configuration."""
+    """Construct the ring model for a validated blow-up configuration.
+
+    Raises InvalidConfig when two centers cannot be disjoint in P^k."""
     if not isinstance(config, BlowupConfig):
         config = BlowupConfig(*config)
     return RingModel(config)

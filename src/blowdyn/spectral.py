@@ -21,6 +21,9 @@ The pipeline is exact end to end:
     same iteration in hardware floats, so only its last few steps run in
     multiprecision; the float roots are never used as bounds.
 
+mpmath is imported only when a root search, or the log of a degree above 1,
+needs it, so actions whose degrees are all exactly 1 never load it.
+
 Floating point is only ever used to *guess*; every reported bound is an
 exact Fraction that has been proved correct.
 """
@@ -33,9 +36,6 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
-
-import mpmath as mp
-from mpmath.libmp.libhyper import NoConvergence
 
 from .errors import LengthMismatch, ToleranceUnreachable
 from .polys import (
@@ -365,6 +365,9 @@ def _certify_at(sf: IntPolynomial, dps: int, upper: Fraction, seeds) -> Union[En
     """One rung of the precision ladder: approximate the roots of sf at dps
     digits, starting from ``seeds`` when given, and certify them.  The
     enclosure, or why there is none (NO_CONVERGENCE or OVERLAP)."""
+    import mpmath as mp
+    from mpmath.libmp.libhyper import NoConvergence
+
     try:
         with mp.workdps(dps):
             coeffs = [mp.mpf(c) for c in reversed(sf.coeffs)]
@@ -457,6 +460,8 @@ def _log_directed(x: Fraction, round_up: bool) -> Fraction:
         raise ValueError("log of a nonpositive value")
     if x == 1:
         return Fraction(0)
+    import mpmath as mp
+
     with mp.workdps(80):
         v = mp.log(mp.mpf(x.numerator)) - mp.log(mp.mpf(x.denominator))
         f = _mpf_to_fraction(v)

@@ -1,8 +1,25 @@
 """Shared fixtures for the heavier integration tests."""
 
+import itertools
+
+import pytest
+
 from blowdyn.actions import PullbackAction
+from blowdyn.errors import InvalidConfig
 from blowdyn.lattices import coxeter_matrix
 from blowdyn.ring import BlowupConfig, build_ring
+
+
+def ring_if_possible(k, centers):
+    """The ring of P^k blown up along linear centers of these dimensions,
+    or None, after checking that build_ring refuses them, when they cannot
+    be pairwise disjoint: subspaces of dimensions r_i + r_j >= k meet."""
+    config = BlowupConfig(k, tuple(centers))
+    if all(a + b < k for a, b in itertools.combinations(config.centers, 2)):
+        return build_ring(config)
+    with pytest.raises(InvalidConfig):
+        build_ring(config)
+    return None
 
 
 def coxeter_with_extra_points(extra: int):

@@ -32,13 +32,16 @@ def ring(k, centers=()):
 
 
 def test_identity_validates_everywhere():
-    for k, centers in [(2, (0,)), (3, (1,)), (5, (1, 0)), (4, (2, 2))]:
+    for k, centers in [(2, (0,)), (3, (1,)), (5, (1, 0))]:
         R = ring(k, centers)
         f = identity_action(R)
         rep = f.validate()
         assert rep.ok and rep.det == 1 and rep.preserves_canonical
         for p in range(k + 1):
             assert f.induce(p) == intmat.identity(R.rank(p))
+    # two planes in P^4 meet: there is no ring to validate on
+    with pytest.raises(InvalidConfig):
+        ring(4, (2, 2))
 
 
 def test_sign_flip_is_isometry_of_surface_but_moves_canonical():

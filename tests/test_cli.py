@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -272,6 +274,35 @@ class TestExitCodes:
                               "--digits", str(sys.get_int_max_str_digits() + 1)])
         assert code == 7 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_negative_digits_is_two(self, fmt):
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+            main(["degrees", str(DOCS / "e10_coxeter.json"), "--action", "coxeter",
+                  "--digits", "-1", "--format", fmt])
+        assert exc.value.code == 2
+        assert err.getvalue().startswith("usage: ") and "--digits" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    # two planes in P^4 always meet, so they cannot be disjoint centers; on
+    # them products depended on the order of the factors (-h^2*e2 against 0)
+    MEETING_PLANES = (
+        '{"variety": {"k": 4, "centers": [{"dim": 2}, {"dim": 2}]},'
+        ' "classes": [{"name": "a", "coeffs": [0, 1, 0]},'
+        ' {"name": "b", "coeffs": [0, 0, 1]}]}'
+    )
+
+    @pytest.mark.parametrize("order", ["aab", "baa"])
+    def test_centers_that_meet_are_five(self, tmp_path, order):
+        doc = self.write(tmp_path, self.MEETING_PLANES)
+        code, out, err = run(["mul", doc] + [a for c in order for a in ("--class", c)])
+        assert code == 5 and out == ""
+        assert err.startswith("error: variety: centers 1 and 2")
+
+    def test_gate_on_centers_that_meet_still_decides(self, tmp_path):
+        code, out, _ = run(["gate", self.write(tmp_path, self.MEETING_PLANES)])
+        assert code == 0 and out.startswith("Inconclusive\nk=4, r=2")
+
     def test_gate_doc_and_k_conflict_is_three(self):
         code, _, _ = run(["gate", str(DOCS / "f1.json"), "--k", "7"])
         assert code == 3
@@ -341,3 +372,37 @@ class TestVerifyCommand:
             "lower-bound", "log-concavity", "first-dominates",
             "inverse-duality", "root-bound",
         }
+
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+from blowdyn.cli import main
+
+doc, light, coxeter = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([argv[0], doc] + argv[1:]) for argv in light]
+loaded = "mpmath" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(main(coxeter))
+print(json.dumps({"codes": codes, "light_loaded": loaded,
+                  "coxeter_loaded": "mpmath" in sys.modules, "out": out.getvalue()}))
+"""
+
+
+def test_mpmath_loads_only_for_a_root_search():
+    """A fresh process that builds a ring, runs the gate, and verifies and
+    takes the degrees of an action whose degrees are all exactly 1 never
+    imports mpmath; the first non-cyclotomic degree does."""
+    light = [["ring"], ["gate"], ["verify", "--action", "swap"], ["degrees", "--action", "swap"]]
+    coxeter = doc_argv(CASES["degrees_coxeter.txt"])
+    arg = json.dumps([str(DOCS / "blpt_p3.json"), light, coxeter])
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN_DIR.parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, arg], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 5
+    assert not result["light_loaded"]
+    assert result["coxeter_loaded"]
+    assert result["out"] == (GOLDEN_DIR / "degrees_coxeter.txt").read_text()

@@ -1,6 +1,5 @@
 """Numerical dimensions, nef necessary checks, Perron-Frobenius reports,
-colinearity/pencil tools, the dimension bound, fixed-class verdicts, and
-the weak Fano report."""
+the colinearity check, fixed-class verdicts, and the weak Fano report."""
 
 import random
 from fractions import Fraction
@@ -32,11 +31,9 @@ from blowdyn.positivity import (
     _power_iteration,
     _standard_curves,
     kawamata_nu,
-    nef_dimension_bound_check,
     nef_necessary_check,
     nef_vanishing_colinearity,
     numerical_dimension,
-    pencil_kernel,
     pf_eigenvector,
     verify_fixed_nef_class,
     weak_fano_report,
@@ -352,103 +349,6 @@ class TestColinearity:
         y = nef_necessary_check(ring_pt3().h())
         with pytest.raises(RingMismatch):
             nef_vanishing_colinearity(x, y)
-
-
-# ------------------------------------------------------------ pencil kernel
-
-
-class TestPencilKernel:
-    def test_line_blowup_pencil(self):
-        # x = h, y = h - e over the line center: y^2 = 0 is the ring
-        # relation, so the elimination map is (a, b) -> a*(h^2 - h*e) and
-        # the kernel is exactly the b-axis
-        ring = ring_line3()
-        x, y = ring.h(), ring.h() - ring.e(1)
-        rep = pencil_kernel(x, y, [y])
-        assert rep.applicable
-        assert rep.kernel_dim == 1
-        assert rep.kernel_basis == ((Fraction(0), Fraction(1)),)
-        assert not rep.uniqueness_expected
-
-    def test_trivial_kernel(self):
-        ring = build_ring(BlowupConfig(2, (0, 0)))
-        rep = pencil_kernel(ring.e(1), ring.e(2), [])
-        assert rep.applicable
-        assert rep.kernel_dim == 0
-        assert rep.kernel_basis == ()
-        assert rep.uniqueness_expected
-
-    def test_dependent_images(self):
-        ring = ring_line3()
-        x, y = ring.h(), 2 * ring.h()
-        rep = pencil_kernel(x, y, [ring.h() - ring.e(1)])
-        # x*y*(h-e) = 2h^2(h-e) = 2h^3 - 2h^2 e != 0
-        assert not rep.applicable
-
-    def test_full_kernel(self):
-        ring = ring_line3()
-        y = ring.h() - ring.e(1)
-        rep = pencil_kernel(y, y, [y])
-        assert rep.applicable
-        assert rep.kernel_dim == 2
-
-    def test_multiplier_budget(self):
-        ring = ring_f1()
-        with pytest.raises(HypothesisViolation):
-            pencil_kernel(ring.h(), ring.e(1), [ring.h()])
-
-    def test_ring_mismatch(self):
-        with pytest.raises(RingMismatch):
-            pencil_kernel(ring_f1().h(), ring_pt3().h(), [])
-
-    def test_colinear_images_kernel_line(self):
-        # u and v = c*u nonzero: kernel is the line a = -c*b
-        ring = ring_pt3()
-        x = ring.h()
-        y = 2 * ring.h()
-        rep = pencil_kernel(x, y, [ring.h()])
-        assert rep.applicable is False or rep.kernel_dim in (0, 1)
-        # direct construction: x*y*h = 2h^3 != 0 so not applicable
-        assert not rep.applicable
-
-
-# --------------------------------------------------- dimension bound check
-
-
-class TestDimensionBound:
-    def test_h_on_line_blowup(self):
-        rep = nef_dimension_bound_check(ring_line3().h())
-        assert rep.passed
-        assert len(rep.items) == 3
-
-    def test_identity_two_holds_for_arbitrary_classes(self):
-        rng = random.Random(17)
-        for k, centers in ((3, (1,)), (4, (1, 0)), (5, (2, 1)), (6, (1,))):
-            ring = build_ring(BlowupConfig(k, centers))
-            for _ in range(10):
-                coeffs = [rng.randint(-4, 4) for _ in range(ring.m + 1)]
-                if all(c == 0 for c in coeffs):
-                    coeffs[0] = 2
-                rep = nef_dimension_bound_check(ring.parse_class(coeffs))
-                labels = [i.label for i in rep.items]
-                assert rep.items[0].ok  # integral x.h^(k-1) = a
-                assert rep.items[1].ok  # integral x^(k-r-1).h^(r+1) = a^(k-r-1)
-                assert any("nu(x)" in lab for lab in labels)
-
-    def test_ruling_is_tight(self):
-        ring = ring_line3()
-        rep = nef_dimension_bound_check(ring.h() - ring.e(1))
-        # nu(h - e) = 1 < k-r-1 would be a failure; here k-r-1 = 1, so tight
-        assert rep.items[2].ok
-        assert "nu(x) = 1" in rep.items[2].detail
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            nef_dimension_bound_check(ring_line3().zero())
-
-    def test_higher_degree_rejected(self):
-        with pytest.raises(ValueError):
-            nef_dimension_bound_check(ring_line3().h() ** 2)
 
 
 # ------------------------------------------------------ fixed nef classes

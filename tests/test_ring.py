@@ -18,6 +18,8 @@ from blowdyn import (
 )
 from blowdyn.intmat import det
 
+from tests.support import ring_if_possible
+
 
 def ring(k, centers=()):
     return build_ring(BlowupConfig(k, tuple(centers)))
@@ -35,6 +37,15 @@ def test_config_rejects_bad_dimensions():
         BlowupConfig(4, (-1,))
     with pytest.raises(InvalidConfig):
         BlowupConfig(2, (1,))
+
+
+def test_ring_refuses_centers_that_meet():
+    BlowupConfig(4, (2, 2))  # the config alone stays permissive
+    with pytest.raises(InvalidConfig, match="centers 2 and 3"):
+        ring(4, (0, 2, 2))
+    with pytest.raises(InvalidConfig):
+        ring(7, (5, 0, 2))
+    assert ring(4, (2, 1)).ranks == (1, 3, 4, 3, 1)
 
 
 def test_config_accepts_boundary_dimensions():
@@ -232,7 +243,9 @@ def test_middle_pairing_k4_line():
     (7, (5, 2)),
 ])
 def test_pairing_unimodular_all_degrees(k, centers):
-    R = ring(k, centers)
+    R = ring_if_possible(k, centers)
+    if R is None:
+        return
     for p in range(k + 1):
         P = R.pairing_matrix(p)
         assert det(P) in (1, -1), (k, centers, p, P)
@@ -337,18 +350,27 @@ def _random_class(draw_coeff, monos):
     return terms
 
 
-_all_monos = [m for p in range(6) for m in _R_LAW.basis(p)]
-
-
 @st.composite
-def ring_classes(draw):
-    picks = draw(st.lists(st.sampled_from(_all_monos), max_size=4, unique=True))
-    x = _R_LAW.zero()
+def ring_classes(draw, R=_R_LAW):
+    monos = [m for p in range(R.k + 1) for m in R.basis(p)]
+    picks = draw(st.lists(st.sampled_from(monos), max_size=4, unique=True))
+    x = R.zero()
     for mono in picks:
         num = draw(st.integers(-4, 4))
         den = draw(st.integers(1, 3))
-        x = x + Fraction(num, den) * _R_LAW.monomial_class(mono)
+        x = x + Fraction(num, den) * R.monomial_class(mono)
     return x
+
+
+@st.composite
+def possible_configs(draw):
+    """k <= 8 and up to four centers that can be pairwise disjoint in P^k:
+    each new dimension keeps r_i + r_j <= k - 1 with those drawn before."""
+    k = draw(st.integers(2, 8))
+    dims = []
+    for _ in range(draw(st.integers(0, 4))):
+        dims.append(draw(st.integers(0, min(k - 2, k - 1 - max(dims, default=0)))))
+    return BlowupConfig(k, tuple(draw(st.permutations(dims))))
 
 
 @given(ring_classes(), ring_classes())
@@ -360,6 +382,14 @@ def test_multiplication_commutes(x, y):
 @given(ring_classes(), ring_classes(), ring_classes())
 @settings(max_examples=40, deadline=None)
 def test_multiplication_associates(x, y, z):
+    assert (x * y) * z == x * (y * z)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_multiplication_associates_on_possible_configs(data):
+    R = build_ring(data.draw(possible_configs()))
+    x, y, z = (data.draw(ring_classes(R)) for _ in range(3))
     assert (x * y) * z == x * (y * z)
 
 

@@ -8,6 +8,10 @@ JSON document format.
 Text mode prints the human summaries; ``--format json`` emits one complete
 JSON object per report line, with rationals as exact "p/q" strings and
 enclosures carrying both exact endpoints and outward-rounded decimals.
+
+Each command imports the library modules it calls once its input is
+accepted, so a process loads only what its command needs: ``ring``, ``mul``
+and a refused document never load the spectral, positivity or gate code.
 """
 
 import argparse
@@ -15,8 +19,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import document as document_mod
-from .document import emit_rational, load_curves
 from .errors import (
     BlowdynError,
     ConsistencyError,
@@ -25,26 +27,13 @@ from .errors import (
     UnknownAction,
     UnknownClass,
 )
-from .gate import decide, degree_chain_report
-from .positivity import (
-    kawamata_nu,
-    nef_necessary_check,
-    numerical_dimension,
-    weak_fano_report,
-)
-from .ring import GradedClass
-from .spectral import (
-    DEFAULT_TOL,
-    degree_properties_report,
-    dynamical_degrees,
-)
 
 
 # -------------------------------------------------------------- rendering
 
 
-def render_class(x: GradedClass) -> str:
-    """Human form of a class: ``3*h - e1 + 1/2*h^2``."""
+def render_class(x) -> str:
+    """Human form of a GradedClass: ``3*h - e1 + 1/2*h^2``."""
     if x.is_zero:
         return "0"
     bits = []
@@ -68,6 +57,8 @@ def render_class(x: GradedClass) -> str:
 
 
 def enc_json(e, digits: int) -> dict:
+    from .document import emit_rational
+
     lo_dec, hi_dec = e.decimal_bounds(digits)
     return {
         "lo": emit_rational(e.lo),
@@ -79,13 +70,17 @@ def enc_json(e, digits: int) -> dict:
 
 
 def enc_phrase(e, digits: int) -> str:
+    from .document import emit_rational
+
     if e.exact:
         return "= %s (exact)" % emit_rational(e.lo)
     lo, hi = e.decimal_bounds(digits)
     return "in [%s, %s]" % (lo, hi)
 
 
-def class_json(x: GradedClass) -> dict:
+def class_json(x) -> dict:
+    from .document import emit_rational
+
     parts = []
     for p in x.degrees():
         parts.append({"degree": p, "coeffs": [emit_rational(c) for c in x.coefficients(p)]})
@@ -103,9 +98,17 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _document(args):
+    from .document import load
+
     if getattr(args, "doc", None) is None:
         raise ParseError("this command needs an input document")
-    return document_mod.load(args.doc)
+    return load(args.doc)
+
+
+def _action(args):
+    """The input document and its action named by --action."""
+    doc = _document(args)
+    return doc, doc.action(doc.build_ring(), args.action)
 
 
 def _tol(args, doc) -> Fraction:
@@ -119,6 +122,8 @@ def _tol(args, doc) -> Fraction:
         return value
     if doc is not None and doc.tol is not None:
         return doc.tol
+    from .spectral import DEFAULT_TOL
+
     return DEFAULT_TOL
 
 
@@ -126,17 +131,16 @@ def _tol(args, doc) -> Fraction:
 
 
 def cmd_ring(args):
+    from .document import emit_rational
+
     doc = _document(args)
     ring = doc.build_ring()
     k, m = ring.k, ring.m
     ranks = ring.ranks
     basis_labels = [[mono.label() for mono in ring.basis(p)] for p in range(k + 1)]
-    rows = ring.basis(1)
-    cols = ring.basis(k - 1)
-    pairing = [
-        [ring.integrate(ring.monomial_class(a) * ring.monomial_class(b)) for b in cols]
-        for a in rows
-    ]
+    row_heads = [mono.label() for mono in ring.basis(1)]
+    col_heads = [mono.label() for mono in ring.basis(k - 1)]
+    pairing = ring.pairing_matrix(1)
     payload = {
         "cmd": "ring",
         "k": k,
@@ -145,8 +149,8 @@ def cmd_ring(args):
         "ranks": list(ranks),
         "basis": basis_labels,
         "pairing": {
-            "rows": [a.label() for a in rows],
-            "cols": [b.label() for b in cols],
+            "rows": row_heads,
+            "cols": col_heads,
             "matrix": [[emit_rational(v) for v in row] for row in pairing],
         },
     }
@@ -158,18 +162,18 @@ def cmd_ring(args):
     for p in range(k + 1):
         lines.append("  degree %d: %s" % (p, ", ".join(basis_labels[p])))
     lines.append("pairing (degree 1 x degree %d):" % (k - 1))
-    col_heads = [b.label() for b in cols]
     widths = [max(len(h), 4) for h in col_heads]
     lines.append("  %-8s %s" % ("", "  ".join(h.ljust(w) for h, w in zip(col_heads, widths))))
-    for a, row in zip(rows, pairing):
+    for head, row in zip(row_heads, pairing):
         lines.append(
-            "  %-8s %s"
-            % (a.label(), "  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
+            "  %-8s %s" % (head, "  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
         )
     _emit(args, payload, "\n".join(lines))
 
 
 def cmd_mul(args):
+    from .document import emit_rational
+
     doc = _document(args)
     ring = doc.build_ring()
     names = args.class_names
@@ -204,9 +208,9 @@ def _degree_lines(ds, digits):
 
 
 def cmd_degrees(args):
-    doc = _document(args)
-    ring = doc.build_ring()
-    action = doc.action(ring, args.action)
+    doc, action = _action(args)
+    from .spectral import dynamical_degrees
+
     ds = dynamical_degrees(action, _tol(args, doc))
     payload = {
         "cmd": "degrees",
@@ -224,23 +228,18 @@ def cmd_degrees(args):
 
 
 def cmd_entropy(args):
-    doc = _document(args)
-    ring = doc.build_ring()
-    action = doc.action(ring, args.action)
+    doc, action = _action(args)
+    from .spectral import dynamical_degrees
+
     ds = dynamical_degrees(action, _tol(args, doc))
-    ent = ds.entropy
     payload = {
         "cmd": "entropy",
         "action": args.action,
-        "entropy": enc_json(ent, args.digits),
+        "entropy": enc_json(ds.entropy, args.digits),
         "zero_entropy_proved": ds.zero_entropy_proved,
         "positive_entropy_proved": ds.positive_entropy_proved,
     }
-    if ent.exact:
-        phrase = "%s (exact)" % emit_rational(ent.lo)
-    else:
-        lo, hi = ent.decimal_bounds(args.digits)
-        phrase = "in [%s, %s]" % (lo, hi)
+    phrase = enc_phrase(ds.entropy, args.digits).removeprefix("= ")
     _emit(args, payload, "entropy of %s: %s" % (args.action, phrase))
 
 
@@ -255,6 +254,8 @@ def cmd_gate(args):
         dims = _parse_dims(args.dims)
     else:
         raise ParseError("gate needs an input document or --k (with optional --dims)")
+    from .gate import decide
+
     verdict = decide(k, dims)
     payload = {
         "cmd": "gate",
@@ -281,9 +282,7 @@ def _parse_dims(raw):
 
 
 def cmd_verify(args):
-    doc = _document(args)
-    ring = doc.build_ring()
-    action = doc.action(ring, args.action)
+    doc, action = _action(args)
     report = action.validate()
     payload = {
         "cmd": "verify",
@@ -301,6 +300,8 @@ def cmd_verify(args):
     }
     lines = [report.summary()]
     if report.ok:
+        from .spectral import degree_properties_report
+
         prop = degree_properties_report(action, _tol(args, doc))
         payload["properties"] = {
             "ok": prop.ok,
@@ -314,10 +315,14 @@ def cmd_verify(args):
 
 
 def cmd_nef_check(args):
+    from .document import emit_rational, load_curves
+
     doc = _document(args)
     ring = doc.build_ring()
     cls = doc.resolve_class(ring, args.class_name)
     extra = load_curves(args.curves, ring) if args.curves else ()
+    from .positivity import nef_necessary_check
+
     assertion = nef_necessary_check(cls, extra_curves=extra)
     payload = {
         "cmd": "nef-check",
@@ -340,6 +345,8 @@ def cmd_nu(args):
     ring = doc.build_ring()
     cls = doc.resolve_class(ring, args.class_name)
     ample = doc.resolve_class(ring, args.ample)
+    from .positivity import kawamata_nu, numerical_dimension
+
     nu = kawamata_nu(cls, ample)
     dim = numerical_dimension(cls)
     payload = {
@@ -356,9 +363,9 @@ def cmd_nu(args):
 
 
 def cmd_chain(args):
-    doc = _document(args)
-    ring = doc.build_ring()
-    action = doc.action(ring, args.action)
+    doc, action = _action(args)
+    from .gate import degree_chain_report
+
     report = degree_chain_report(action, _tol(args, doc))
     certificate = None
     if report.certificate is not None:
@@ -402,8 +409,12 @@ def cmd_chain(args):
 
 
 def cmd_fano(args):
+    from .document import emit_rational
+
     doc = _document(args)
     ring = doc.build_ring()
+    from .positivity import weak_fano_report
+
     report = weak_fano_report(ring)
     payload = {
         "cmd": "fano",

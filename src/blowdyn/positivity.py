@@ -32,10 +32,6 @@ from .spectral import (
     dynamical_degrees,
 )
 
-NOT_APPLICABLE = "not-applicable"
-COLINEAR = "colinear"
-NOT_COLINEAR = "not-colinear"
-
 CONVERGED = "converged"
 NO_EXPANSION = "no-expansion"
 NON_CONVERGENCE = "non-convergence"
@@ -292,52 +288,6 @@ def pf_eigenvector(action, tol=Fraction(1, 10**9), max_iter: int = 1000) -> PFRe
         vector=vec,
         nef=nef,
     )
-
-
-# ------------------------------------------------------------- colinearity
-
-
-@dataclass(frozen=True)
-class ColinearityReport:
-    status: str  # colinear / not-colinear / not-applicable
-    reason: str
-    factor: Optional[Fraction] = None
-    witness: Optional[str] = None
-
-
-def nef_vanishing_colinearity(x: NefAssertion, y: NefAssertion) -> ColinearityReport:
-    """For nef classes, x.y = 0 forces proportionality; check it.
-
-    Applies only when both classes are asserted nef, both are nonzero, and
-    the product actually vanishes; anything else is reported as
-    not-applicable rather than guessed at."""
-    if not (x.asserted_nef and y.asserted_nef):
-        return ColinearityReport(NOT_APPLICABLE, "both classes must be asserted nef")
-    a, b = x.cls, y.cls
-    if a.ring is not b.ring:
-        raise RingMismatch("classes live in different rings")
-    if a.is_zero or b.is_zero:
-        return ColinearityReport(NOT_APPLICABLE, "zero class")
-    if not (a * b).is_zero:
-        return ColinearityReport(NOT_APPLICABLE, "x.y != 0, the criterion says nothing")
-    coeffs_a = a.coefficients(1)
-    coeffs_b = b.coefficients(1)
-    factor = None
-    for ca, cb in zip(coeffs_a, coeffs_b):
-        if ca != 0:
-            factor = cb / ca
-            break
-    if factor is None:
-        return ColinearityReport(NOT_APPLICABLE, "zero class")
-    labels = [mono.label() for mono in a.ring.basis(1)]
-    for label, ca, cb in zip(labels, coeffs_a, coeffs_b):
-        if cb != factor * ca:
-            return ColinearityReport(
-                NOT_COLINEAR,
-                "componentwise ratio is not constant",
-                witness=label,
-            )
-    return ColinearityReport(COLINEAR, "y = c*x with c = %s" % factor, factor=factor)
 
 
 # ------------------------------------------------------ fixed nef classes

@@ -281,9 +281,6 @@ class RingModel:
     def ranks(self) -> Tuple[int, ...]:
         return tuple(len(b) for b in self._basis)
 
-    def basis_index(self, mono: Mono) -> int:
-        return self._index[mono][1]
-
     # -- constructors ----------------------------------------------------
 
     def zero(self) -> GradedClass:

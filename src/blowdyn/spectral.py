@@ -180,9 +180,6 @@ class Enclosure:
         v = _as_fraction(value)
         return self.lo <= v <= self.hi
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def decimal_bounds(self, digits: int = 12) -> Tuple[str, str]:
         """Outward-rounded decimal strings: the printed interval always
         contains the exact one."""

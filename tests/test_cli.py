@@ -376,33 +376,69 @@ class TestVerifyCommand:
 
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
-from blowdyn.cli import main
 
-doc, light, coxeter = json.loads(sys.argv[1])
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main([argv[0], doc] + argv[1:]) for argv in light]
-loaded = "mpmath" in sys.modules
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    codes.append(main(coxeter))
-print(json.dumps({"codes": codes, "light_loaded": loaded,
-                  "coxeter_loaded": "mpmath" in sys.modules, "out": out.getvalue()}))
+def loaded():
+    return sorted(n for n in sys.modules if n.startswith("blowdyn."))
+
+import blowdyn
+steps = [["import blowdyn", None, loaded(), False, ""]]
+from blowdyn.cli import main
+steps.append(["import blowdyn.cli", None, loaded(), False, ""])
+for argv in json.loads(sys.argv[1]):
+    # hide an mpmath loaded by an earlier step: each step shows its own import
+    hidden = {n: sys.modules.pop(n) for n in list(sys.modules) if n.split(".")[0] == "mpmath"}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    steps.append([argv[0], code, loaded(), "mpmath" in sys.modules, out.getvalue()])
+    sys.modules.update(hidden)
+print(json.dumps(steps))
 """
 
 
-def test_mpmath_loads_only_for_a_root_search():
-    """A fresh process that builds a ring, runs the gate, and verifies and
-    takes the degrees of an action whose degrees are all exactly 1 never
-    imports mpmath; the first non-cyclotomic degree does."""
-    light = [["ring"], ["gate"], ["verify", "--action", "swap"], ["degrees", "--action", "swap"]]
-    coxeter = doc_argv(CASES["degrees_coxeter.txt"])
-    arg = json.dumps([str(DOCS / "blpt_p3.json"), light, coxeter])
+@pytest.fixture(scope="module")
+def startup_steps():
+    """One fresh process runs a command sequence; per step: (label, exit
+    code, blowdyn modules loaded so far, did the step import mpmath, stdout)."""
+    doc = str(DOCS / "blpt_p3.json")
+    argvs = [
+        ["ring", doc],
+        ["mul", doc, "--class", "ample", "--class", "h"],
+        ["degrees", str(DOCS / "no-such-document.json"), "--action", "swap"],
+        ["verify", doc, "--action", "swap"],
+        ["degrees", doc, "--action", "swap"],
+        doc_argv(CASES["degrees_coxeter.txt"]),
+        ["gate", doc],
+    ]
     env = dict(os.environ, PYTHONPATH=str(GOLDEN_DIR.parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, arg], env=env,
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 5
-    assert not result["light_loaded"]
-    assert result["coxeter_loaded"]
-    assert result["out"] == (GOLDEN_DIR / "degrees_coxeter.txt").read_text()
+    steps = json.loads(proc.stdout)
+    assert [step[1] for step in steps] == [None, None, 0, 0, 3, 0, 0, 0, 0]
+    return steps
+
+
+def test_mpmath_loads_only_for_a_root_search(startup_steps):
+    """A fresh process that builds a ring, multiplies, refuses a document,
+    runs the gate, and verifies and takes the degrees of an action whose
+    degrees are all exactly 1 never imports mpmath; the first
+    non-cyclotomic degree does."""
+    *light, coxeter, gate = startup_steps[2:]
+    assert not any(step[3] for step in light + [gate])
+    assert coxeter[3]
+    assert coxeter[4] == (GOLDEN_DIR / "degrees_coxeter.txt").read_text()
+
+
+def test_each_command_loads_only_the_modules_it_calls(startup_steps):
+    """The package loads its errors only; the CLI adds itself; building a
+    ring, multiplying and refusing a document need no spectral, polynomial,
+    positivity or gate code; the degrees of an action need no positivity
+    or gate code."""
+    loaded = [set(step[2]) for step in startup_steps]
+    assert loaded[0] == {"blowdyn.errors"}  # import blowdyn
+    assert loaded[1] == {"blowdyn.errors", "blowdyn.cli"}  # import blowdyn.cli
+    heavy = {"blowdyn.spectral", "blowdyn.polys", "blowdyn.positivity", "blowdyn.gate"}
+    assert not loaded[4] & heavy  # after ring, mul and an exit-3 refusal
+    assert not loaded[7] & {"blowdyn.positivity", "blowdyn.gate"}  # after degrees coxeter
+    assert "blowdyn.gate" in loaded[8]

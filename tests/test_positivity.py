@@ -1,5 +1,5 @@
 """Numerical dimensions, nef necessary checks, Perron-Frobenius reports,
-the colinearity check, fixed-class verdicts, and the weak Fano report."""
+fixed-class verdicts, and the weak Fano report."""
 
 import random
 from fractions import Fraction
@@ -17,14 +17,11 @@ from blowdyn.errors import (
 )
 from blowdyn.lattices import coxeter_action, cremona_action, permutation_action
 from blowdyn.positivity import (
-    COLINEAR,
     CONSISTENT,
     CONVERGED,
     HYPOTHESES_NOT_MET,
     NO_EXPANSION,
     NON_CONVERGENCE,
-    NOT_APPLICABLE,
-    NOT_COLINEAR,
     NOT_REALIZABLE,
     NefAssertion,
     NefCheckReport,
@@ -32,7 +29,6 @@ from blowdyn.positivity import (
     _standard_curves,
     kawamata_nu,
     nef_necessary_check,
-    nef_vanishing_colinearity,
     numerical_dimension,
     pf_eigenvector,
     verify_fixed_nef_class,
@@ -288,67 +284,6 @@ class TestPFEigenvector:
         assert status == NON_CONVERGENCE
         assert its == 400
         assert res > Fraction(1, 10**3)
-
-
-# ------------------------------------------------------------- colinearity
-
-
-class TestColinearity:
-    def ring(self):
-        return build_ring(BlowupConfig(2, (0, 0)))
-
-    def test_self_is_colinear(self):
-        ring = self.ring()
-        x = nef_necessary_check(ring.parse_class([1, -1, 0]))
-        rep = nef_vanishing_colinearity(x, x)
-        assert rep.status == COLINEAR
-        assert rep.factor == 1
-
-    def test_scaled_copy(self):
-        ring = self.ring()
-        x = nef_necessary_check(ring.parse_class([1, -1, 0]))
-        y = nef_necessary_check(ring.parse_class([3, -3, 0]))
-        rep = nef_vanishing_colinearity(x, y)
-        assert rep.status == COLINEAR
-        assert rep.factor == 3
-
-    def test_honest_witness(self):
-        ring = self.ring()
-        x = nef_necessary_check(ring.parse_class([1, -1, 0]))
-        y = nef_necessary_check(ring.parse_class([1, -1, -1]))
-        assert ring.integrate(x.cls * y.cls) == 0
-        rep = nef_vanishing_colinearity(x, y)
-        assert rep.status == NOT_COLINEAR
-        assert rep.witness == "e2"
-
-    def test_not_applicable_without_assertion(self):
-        ring = self.ring()
-        x = nef_necessary_check(ring.parse_class([1, -1, 0]))
-        e = ring.e(1)
-        bad = nef_necessary_check(e)  # fails, so asserted_nef is False
-        rep = nef_vanishing_colinearity(x, bad)
-        assert rep.status == NOT_APPLICABLE
-        assert "asserted" in rep.reason
-
-    def test_not_applicable_with_nonzero_product(self):
-        ring = self.ring()
-        x = nef_necessary_check(ring.h())
-        y = nef_necessary_check(ring.parse_class([1, -1, 0]))
-        rep = nef_vanishing_colinearity(x, y)
-        assert rep.status == NOT_APPLICABLE
-        assert "x.y != 0" in rep.reason
-
-    def test_not_applicable_zero_class(self):
-        ring = self.ring()
-        z = nef_necessary_check(ring.zero())
-        x = nef_necessary_check(ring.parse_class([1, -1, 0]))
-        assert nef_vanishing_colinearity(z, x).status == NOT_APPLICABLE
-
-    def test_ring_mismatch(self):
-        x = nef_necessary_check(ring_f1().h())
-        y = nef_necessary_check(ring_pt3().h())
-        with pytest.raises(RingMismatch):
-            nef_vanishing_colinearity(x, y)
 
 
 # ------------------------------------------------------ fixed nef classes
